@@ -133,7 +133,7 @@ class AsyncRequestHandle:
                 yield event
                 if _terminal(event):
                     return
-            if self.ticket.terminal and not any(map(_terminal, backlog)):
+            if self._report_future.done() and not any(map(_terminal, backlog)):
                 # Terminal before any listener could log it (e.g. the
                 # session closed): synthesise the final transition.
                 yield {"type": "state", "id": self.id, "state": self.ticket.state}
@@ -379,8 +379,12 @@ class AsyncSession:
                     while delivered[handle.id] < len(records):
                         yield records[delivered[handle.id]]
                         delivered[handle.id] += 1
+                # Terminal as the loop has seen it: the ticket turns terminal
+                # on an executor thread while its last records may still be
+                # queued for this loop; the report future settles only after
+                # they landed (dispatch callbacks run in order).
                 if all(
-                    handle.ticket.terminal
+                    handle._report_future.done()
                     and delivered[handle.id] >= len(handle._records)
                     for handle in handles
                 ):

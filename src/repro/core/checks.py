@@ -20,10 +20,17 @@ the QBF refinement loop) as well as the source of:
   in the refutation, which the heuristic engines use to grow partitions; and
 * *counterexample difference sets* (from SAT models): variables whose copies
   differ in a falsifying witness, which become the QBF blocking clauses.
+
+The copy-CNF is encoded once per checker and kept packed; the solver is
+created on the first check.  :meth:`RelaxationChecker.fork` hands an engine
+the same encoding on a fresh solver, so the engines of one cone share the
+encoding work but never a solver: a shared solver's learned clauses and
+activities would change every later engine's search.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -31,7 +38,7 @@ from repro.aig.function import BooleanFunction
 from repro.core.partition import VariablePartition
 from repro.core.spec import AND, OR, XOR, check_operator
 from repro.errors import DecompositionError
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, PackedCNF
 from repro.sat.solver import Solver
 from repro.sat.tseitin import encode_relaxed_equiv, encode_xor
 from repro.utils.timer import Deadline
@@ -110,8 +117,24 @@ class RelaxationChecker:
             encode_xor(cnf, parity, parity01, parity23)
             cnf.add_unit(parity)
 
-        self._solver = Solver()
-        self._solver.add_cnf(cnf)
+        self._cnf = PackedCNF(cnf)
+        self._solver = None
+
+    def fork(self) -> "RelaxationChecker":
+        """A checker over the same encoding with its own solver, loaded now.
+
+        Loading counts its level-0 propagations as solver work, so an engine
+        forks inside its work window even when it never runs a check.
+        """
+        twin = copy.copy(self)
+        twin.sat_calls = 0
+        twin._load()
+        return twin
+
+    def _load(self) -> Solver:
+        solver = self._solver = Solver()
+        solver.add_cnf(self._cnf)
+        return solver
 
     def _encode_copy(self, cnf: CNF, input_vars: Dict[str, int]) -> int:
         mapping = self.function.to_cnf(
@@ -160,7 +183,10 @@ class RelaxationChecker:
             b_var = self._beta[name]
             assumptions.append(a_var if alpha.get(name, False) else -a_var)
             assumptions.append(b_var if beta.get(name, False) else -b_var)
-        result = self._solver.solve(
+        solver = self._solver
+        if solver is None:
+            solver = self._load()
+        result = solver.solve(
             assumptions=assumptions,
             deadline=deadline,
             conflict_budget=conflict_budget,

@@ -147,12 +147,15 @@ class BiDecomposer:
         bootstrap: Optional[VariablePartition] = None,
         deadline: Optional[Deadline] = None,
         extract: Optional[bool] = None,
+        checker: Optional[RelaxationChecker] = None,
     ) -> BiDecResult:
         """Decompose one function with one engine.
 
         ``extract`` overrides ``options.extract`` for this call; the driver
         uses it to skip sub-function extraction on bootstrap-only passes
-        whose ``fA``/``fB`` nobody will read.
+        whose ``fA``/``fB`` nobody will read.  ``checker`` is an encoding of
+        ``function`` under ``operator`` to fork instead of encoding anew;
+        the engine still searches on a fresh solver of its own.
         """
         operator = check_operator(operator)
         engine = check_engine(engine)
@@ -175,7 +178,11 @@ class BiDecomposer:
         elif engine not in ENGINES:
             result = self._plugin_decompose(function, operator, engine, deadline)
         else:
-            checker = RelaxationChecker(function, operator)
+            if checker is None:
+                checker = RelaxationChecker(function, operator)
+            elif checker.function is not function or checker.operator != operator:
+                raise DecompositionError("the checker encodes another function or operator")
+            checker = checker.fork()
             if engine == ENGINE_LJH:
                 result = ljh_decompose(checker, deadline=deadline)
             elif engine == ENGINE_STEP_MG:
@@ -226,7 +233,16 @@ class BiDecomposer:
         needs_bootstrap = any(engine in QBF_ENGINES for engine in ordered)
         if needs_bootstrap and ENGINE_STEP_MG not in ordered:
             ordered.insert(0, ENGINE_STEP_MG)
+        # The copy-CNF is encoded once for the cone; every engine forks it.
+        checker: Optional[RelaxationChecker] = None
         for engine in ordered:
+            if (
+                checker is None
+                and engine in ENGINES
+                and engine != ENGINE_BDD
+                and function.num_inputs >= self.options.min_support
+            ):
+                checker = RelaxationChecker(function, operator)
             engine_deadline = None
             if deadline is not None:
                 engine_deadline = deadline.sub_deadline(self.options.output_timeout)
@@ -240,6 +256,7 @@ class BiDecomposer:
                 # engines) only contributes its partition; extracting
                 # fA/fB for it would be thrown away immediately.
                 extract=None if engine in engines else False,
+                checker=checker,
             )
             if engine == ENGINE_STEP_MG and result.decomposed:
                 bootstrap = result.partition

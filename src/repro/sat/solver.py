@@ -47,10 +47,11 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SolverError
-from repro.sat.cnf import CNF
+from repro.sat.cnf import CNF, PackedCNF
 from repro.sat.proof import Proof, ResolutionChain
 from repro.utils.timer import Deadline
 
@@ -75,6 +76,15 @@ GLUE_LBD = 2
 
 #: Learned-clause count that triggers a database reduction.
 REDUCE_BASE = 4000
+
+#: Largest variable index either substrate accepts: the kernel stores the
+#: internal literal ``2*var + 1`` in an int32.  Both substrates reject larger
+#: variables with the same :class:`SolverError` (see :func:`_out_of_range`).
+MAX_VAR = (2**31 - 2) // 2
+
+
+def _out_of_range(var: int) -> str:
+    return f"variable {var} is out of range (the solver supports 1..{MAX_VAR})"
 
 
 def kernel_available() -> bool:
@@ -318,8 +328,11 @@ class PySolver:
         return var
 
     def _ensure_var(self, var: int) -> None:
-        while self._num_vars < var:
-            self.new_var()
+        if self._num_vars < var:
+            if var > MAX_VAR:
+                raise SolverError(_out_of_range(var))
+            while self._num_vars < var:
+                self.new_var()
 
     def add_clause(self, lits: Iterable[int]) -> Optional[int]:
         """Add a clause (an iterable of DIMACS literals).
@@ -391,8 +404,11 @@ class PySolver:
         self._clauses.append(record)
         return cid
 
-    def add_cnf(self, cnf: CNF) -> List[Optional[int]]:
-        """Add every clause of a :class:`CNF`; returns their proof ids."""
+    def add_cnf(self, cnf: Union[CNF, PackedCNF]) -> List[Optional[int]]:
+        """Add every clause of a :class:`CNF` (or :class:`PackedCNF`).
+
+        Returns the clauses' proof ids, ``None`` for dropped tautologies.
+        """
         self._ensure_var(cnf.num_vars)
         return [self.add_clause(clause) for clause in cnf.clauses]
 
@@ -919,11 +935,15 @@ class CKernelSolver:
     """The compiled-kernel substrate behind :func:`Solver`.
 
     The public surface mirrors :class:`PySolver` exactly (minus proof
-    logging, which the factory routes to the pure path).  Clause hygiene —
-    literal validation, tautology and duplicate elimination — happens here
-    in Python so the error behaviour is byte-identical to the reference;
-    the level-0 simplification, watcher bookkeeping and the entire search
-    loop run inside :mod:`repro.sat._ckernel`.
+    logging, which the factory routes to the pure path).  Clause ingest
+    and assumption parsing run inside :mod:`repro.sat._ckernel`, which
+    applies the reference hygiene of :meth:`PySolver.add_clause` --
+    literal validation, duplicate and tautology dropping, ``num_vars``
+    growth -- before the level-0 simplification, watcher bookkeeping and
+    the search loop.  When the kernel refuses an invalid literal, the
+    wrapper replays that clause (or the assumptions) through the
+    reference checks, so every :class:`SolverError` keeps the reference's
+    text and side effects.
     """
 
     proof_logging = False
@@ -961,51 +981,58 @@ class CKernelSolver:
         self._c.set_reduce_base(value)
 
     def new_var(self) -> int:
-        self._num_vars += 1
-        self._c.ensure_vars(self._num_vars)
+        self._ensure_var(self._num_vars + 1)
         return self._num_vars
 
     def _ensure_var(self, var: int) -> None:
         if var > self._num_vars:
+            if var > MAX_VAR:
+                raise SolverError(_out_of_range(var))
             self._num_vars = var
             self._c.ensure_vars(var)
 
     def add_clause(self, lits: Iterable[int]) -> Optional[int]:
         """Add a clause; ``None`` for dropped tautologies (see PySolver)."""
-        seen: Set[int] = set()
-        clause: List[int] = []
-        max_var = 0
+        if type(lits) is not tuple and type(lits) is not list:
+            lits = tuple(lits)
+        batch = (lits,)
+        return self._ingest(batch, batch)[0]
+
+    def add_cnf(self, cnf: Union[CNF, PackedCNF]) -> List[Optional[int]]:
+        self._ensure_var(cnf.num_vars)
+        buffer = cnf.buffer if isinstance(cnf, PackedCNF) else cnf.clauses
+        return self._ingest(buffer, cnf.clauses)
+
+    def _ingest(self, batch, clauses: Iterable) -> List[Optional[int]]:
+        """Hand ``batch`` to the kernel; ``clauses`` iterates the same clauses."""
+        consumed, tautologies, num_vars, propagated, failed = self._c.add_clauses(batch)
+        self._num_vars = num_vars
+        if propagated:
+            # Level-0 propagation triggered by new clauses counts as solver
+            # work exactly like in-search propagation (the reference counts
+            # it through the same _propagate loop).
+            self.propagations += propagated
+            _work_cells()[2] += propagated
+        first = self._next_cid
+        self._next_cid = first + consumed - len(tautologies)
+        cids: List[Optional[int]] = list(range(first, self._next_cid))
+        for index in tautologies:
+            cids.insert(index, None)
+        if failed:
+            self._reject(next(islice(clauses, consumed, None)))
+        return cids
+
+    def _reject(self, lits: Iterable[int]) -> None:
+        """Raise the reference's error for a clause the kernel refused.
+
+        This is :meth:`PySolver.add_clause`'s scan: the variables of the
+        literals before the invalid one are still allocated.
+        """
         for lit in lits:
             if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                 raise SolverError(f"invalid literal {lit!r}")
-            var = lit if lit > 0 else -lit
-            if var > max_var:
-                max_var = var
-            ilit = 2 * var + (1 if lit < 0 else 0)
-            if ilit ^ 1 in seen:
-                # The reference allocates variables while scanning, so a
-                # dropped tautology still grows num_vars for the literals
-                # scanned so far (including this one).
-                self._ensure_var(max_var)
-                return None  # tautology
-            if ilit in seen:
-                continue
-            seen.add(ilit)
-            clause.append(ilit)
-        self._ensure_var(max_var)
-        cid = self._next_cid
-        self._next_cid += 1
-        # Level-0 propagation triggered by the new clause counts as solver
-        # work exactly like in-search propagation (the reference counts it
-        # through the same _propagate loop).
-        delta = self._c.add_clause(clause)
-        self.propagations += delta
-        _work_cells()[2] += delta
-        return cid
-
-    def add_cnf(self, cnf: CNF) -> List[Optional[int]]:
-        self._ensure_var(cnf.num_vars)
-        return [self.add_clause(clause) for clause in cnf.clauses]
+            self._ensure_var(abs(lit))
+        raise SolverError(f"invalid clause {lits!r}")
 
     def solve(
         self,
@@ -1015,17 +1042,17 @@ class CKernelSolver:
     ) -> SolveResult:
         self._model = {}
         self._core = ()
-        int_assumptions: List[int] = []
-        for lit in assumptions:
-            if not isinstance(lit, int) or lit == 0:
-                raise SolverError("assumption literal cannot be zero")
-            var = lit if lit > 0 else -lit
-            self._ensure_var(var)
-            int_assumptions.append(2 * var + (1 if lit < 0 else 0))
+        if type(assumptions) is not list and type(assumptions) is not tuple:
+            assumptions = list(assumptions)
+        if type(deadline) is Deadline:
+            # A real Deadline is read once and polled on the kernel's
+            # perf-counter clock; anything else is polled via ``expired``.
+            deadline = None if deadline.budget is None else (deadline._start, deadline.budget)
         budget = -1 if conflict_budget is None else conflict_budget
-        status, model, core, conflicts, decisions, propagations = self._c.solve(
-            int_assumptions, budget, deadline
-        )
+        answer = self._c.solve(assumptions, budget, deadline)
+        if answer is None:
+            self._reject_assumptions(assumptions)
+        status, model, core, conflicts, decisions, propagations, self._num_vars = answer
         cells = _work_cells()
         cells[0] += conflicts - self.conflicts
         cells[1] += decisions - self.decisions
@@ -1033,18 +1060,28 @@ class CKernelSolver:
         self.conflicts = conflicts
         self.decisions = decisions
         self.propagations = propagations
+        # The kernel builds a fresh model dict per answer; the result and
+        # the solver share it instead of copying it again.
         if model is not None:
             self._model = model
         if core is not None:
             self._core = tuple(dict.fromkeys(core))
         return SolveResult(
             status=None if status < 0 else bool(status),
-            model=dict(self._model),
+            model=self._model,
             core=self._core,
             conflicts=conflicts,
             decisions=decisions,
             propagations=propagations,
         )
+
+    def _reject_assumptions(self, assumptions: Sequence[int]) -> None:
+        """Raise the reference's error for assumptions the kernel refused."""
+        for lit in assumptions:
+            if not isinstance(lit, int) or lit == 0:
+                raise SolverError("assumption literal cannot be zero")
+            self._ensure_var(abs(lit))
+        raise SolverError(f"invalid assumptions {assumptions!r}")
 
     def model(self) -> Dict[int, bool]:
         return dict(self._model)

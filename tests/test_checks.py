@@ -186,3 +186,41 @@ class TestAgainstReference:
             f, "or", [names[0]], [names[1]], [names[2]]
         )
         assert sat_answer == bdd_answer
+
+
+class TestFork:
+    """A fork shares the encoding and gets a fresh solver of its own."""
+
+    def test_fork_answers_like_a_fresh_checker(self, or_decomposable_function):
+        f, xa, xb, xc = or_decomposable_function
+        partition = VariablePartition(tuple(xa), tuple(xb), tuple(xc))
+        template = RelaxationChecker(f, "or")
+        used = template.fork()
+        used.check_partition(partition)
+        fork = used.fork()
+        assert fork.sat_calls == 0
+        assert fork._cnf is template._cnf
+        assert fork._solver is not used._solver
+        fresh = RelaxationChecker(f, "or")
+        for name in fresh.variables:
+            alpha = {name: True}
+            beta = {other: True for other in fresh.variables if other != name}
+            assert fork.check_alpha_beta(alpha, beta).__dict__ == (
+                fresh.check_alpha_beta(alpha, beta).__dict__
+            )
+        assert fork._solver.conflicts == fresh._solver.conflicts
+        assert fork._solver.propagations == fresh._solver.propagations
+
+    def test_fork_loads_its_solver_at_once(self, or_decomposable_function):
+        from repro.sat.solver import solver_work_snapshot
+
+        f = or_decomposable_function[0]
+        template = RelaxationChecker(f, "or")
+        assert template._solver is None
+        before = solver_work_snapshot()
+        fork = template.fork()
+        after = solver_work_snapshot()
+        assert fork._solver is not None
+        # The copy-CNF's output units propagate at level 0 as the solver
+        # loads; an engine that forks inside its work window counts them.
+        assert after[2] > before[2]

@@ -254,3 +254,50 @@ class TestOptions:
             BooleanFunction.from_truth_table(0b0110, 2), "or", engine=ENGINE_STEP_QD
         )
         assert "not decomposable" in miss.summary()
+
+
+class TestEncodeOncePerCone:
+    ENGINES = [ENGINE_LJH, ENGINE_STEP_MG, ENGINE_STEP_QD, ENGINE_STEP_QB, ENGINE_STEP_QDB]
+
+    def test_one_encoding_and_one_solver_per_engine(self, or_function, monkeypatch):
+        from repro.core import checks
+
+        builds, solvers = [], []
+        original_init = checks.RelaxationChecker.__init__
+        original_solver = checks.Solver
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original_init(self, *args, **kwargs)
+
+        def counting_solver(*args, **kwargs):
+            solvers.append(1)
+            return original_solver(*args, **kwargs)
+
+        monkeypatch.setattr(checks.RelaxationChecker, "__init__", counting_init)
+        monkeypatch.setattr(checks, "Solver", counting_solver)
+        BiDecomposer(EngineOptions(output_timeout=30.0)).decompose_function_all(
+            or_function, "or", self.ENGINES
+        )
+        assert len(builds) == 1
+        assert len(solvers) == len(self.ENGINES)
+
+    def test_results_match_engines_encoding_their_own_checker(self, or_function):
+        step = BiDecomposer(EngineOptions(output_timeout=30.0, extract=False))
+        shared = step.decompose_function_all(or_function, "or", self.ENGINES)
+        bootstrap = shared[ENGINE_STEP_MG].partition
+        for engine in self.ENGINES:
+            alone = step.decompose_function(
+                or_function,
+                "or",
+                engine,
+                bootstrap=bootstrap if engine not in (ENGINE_LJH, ENGINE_STEP_MG) else None,
+            )
+            assert alone.fingerprint() == shared[engine].fingerprint(), engine
+
+    def test_foreign_checker_rejected(self, step, or_function):
+        from repro.core.checks import RelaxationChecker
+
+        checker = RelaxationChecker(or_function, "and")
+        with pytest.raises(DecompositionError):
+            step.decompose_function(or_function, "or", ENGINE_STEP_MG, checker=checker)

@@ -16,6 +16,7 @@ pure-Python-only CI job) and run against the pure path regardless, so
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -115,20 +116,21 @@ class TestFuzzMatrix:
         assert second[1] == second[0]
 
 
+def _pigeonhole(holes):
+    pigeons = holes + 1
+    var = lambda p, h: p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return clauses
+
+
 @needs_kernel
 class TestBudgetsAndDeadlines:
-    def _pigeonhole(self, holes):
-        pigeons = holes + 1
-        var = lambda p, h: p * holes + h + 1
-        clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        return clauses
-
     def test_conflict_budget_stops_both_substrates_at_the_same_point(self):
-        clauses = self._pigeonhole(6)
+        clauses = _pigeonhole(6)
         pure = _run(PySolver(), clauses, conflict_budget=5)
         kern = _run(CKernelSolver(), clauses, conflict_budget=5)
         assert pure["status"] is None
@@ -140,6 +142,114 @@ class TestBudgetsAndDeadlines:
         kern = _run(CKernelSolver(), clauses, deadline=Deadline(0.0))
         assert pure["status"] is None
         assert kern == pure
+
+
+class _ScriptedDeadline:
+    """Duck-typed deadline: ``expired`` is False for ``quota`` reads, then True."""
+
+    def __init__(self, quota):
+        self.quota = quota
+        self.reads = 0
+
+    @property
+    def expired(self):
+        self.reads += 1
+        return self.reads > self.quota
+
+
+@needs_kernel
+class TestDeadlineProgramPoints:
+    """Deadlines are polled at the same program points on both substrates.
+
+    A duck-typed deadline is read through ``expired`` by both, so a
+    count-scripted one must stop them after the same read with the same
+    counters.  A real :class:`Deadline` is polled on the kernel's own
+    perf-counter clock instead, with the same semantics.
+    """
+
+    CLAUSES = _pigeonhole(6)
+    QUOTAS = list(range(0, 40)) + [57, 100, 333, 1000, 3000, 10**6]
+
+    @pytest.mark.parametrize("quota", QUOTAS)
+    def test_scripted_deadline_stops_both_after_the_same_read(self, quota):
+        pure_deadline, kern_deadline = _ScriptedDeadline(quota), _ScriptedDeadline(quota)
+        pure = _run(PySolver(), self.CLAUSES, deadline=pure_deadline)
+        kern = _run(CKernelSolver(), self.CLAUSES, deadline=kern_deadline)
+        assert kern == pure
+        assert kern_deadline.reads == pure_deadline.reads
+        assert pure["status"] is (None if quota < pure_deadline.reads else False)
+
+    def test_real_deadline_is_not_read_by_the_kernel(self, monkeypatch):
+        reads = []
+
+        def counting(deadline):
+            reads.append(deadline)
+            return False
+
+        monkeypatch.setattr(Deadline, "expired", property(counting))
+        kern = _run(CKernelSolver(), self.CLAUSES, deadline=Deadline(600.0))
+        assert reads == []
+        pure = _run(PySolver(), self.CLAUSES, deadline=Deadline(600.0))
+        assert len(reads) > 1000
+        assert kern == pure
+        assert kern["status"] is False
+
+    def test_deadline_subclasses_keep_attribute_polling(self):
+        class Counting(Deadline):
+            reads = 0
+
+            @property
+            def expired(self):
+                Counting.reads += 1
+                return False
+
+        kern = _run(CKernelSolver(), self.CLAUSES, deadline=Counting(None))
+        assert Counting.reads > 1000
+        assert kern == _run(CKernelSolver(), self.CLAUSES)
+
+    def test_unlimited_deadline_never_expires(self):
+        unbounded = _run(CKernelSolver(), self.CLAUSES)
+        assert _run(CKernelSolver(), self.CLAUSES, deadline=Deadline(None)) == unbounded
+        assert _run(PySolver(), self.CLAUSES, deadline=Deadline(None)) == unbounded
+        assert unbounded["status"] is False
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Deadline(0.0),
+            lambda: Deadline(0),
+            lambda: Deadline(600.0).sub_deadline(0.0),
+            lambda: Deadline(0.0).sub_deadline(600.0),
+            lambda: Deadline(1.0, _start=time.perf_counter() - 5.0),
+        ],
+        ids=["zero", "int-zero", "sub-zero", "parent-zero", "started-long-ago"],
+    )
+    def test_expired_deadline_stops_at_the_first_poll(self, make):
+        first_poll = _run(CKernelSolver(), self.CLAUSES, deadline=_ScriptedDeadline(0))
+        assert first_poll["status"] is None
+        assert _run(CKernelSolver(), self.CLAUSES, deadline=make()) == first_poll
+        assert _run(PySolver(), self.CLAUSES, deadline=make()) == first_poll
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Deadline(600.0).sub_deadline(None), lambda: Deadline(None).sub_deadline(600.0)],
+        ids=["parent-bounded", "child-bounded"],
+    )
+    def test_live_sub_deadline_lets_the_search_finish(self, make):
+        assert _run(CKernelSolver(), self.CLAUSES, deadline=make()) == _run(
+            CKernelSolver(), self.CLAUSES
+        )
+
+    def test_kernel_clock_cuts_a_long_search_short(self):
+        # Pigeonhole 9-into-8 takes seconds of kernel search; a 50 ms
+        # deadline must stop it mid-search.
+        clauses = _pigeonhole(8)
+        solver = CKernelSolver()
+        started = time.perf_counter()
+        result = _run(solver, clauses, deadline=Deadline(0.05))
+        assert time.perf_counter() - started < 5.0
+        assert result["status"] is None
+        assert result["conflicts"] > 0
 
 
 @needs_kernel

@@ -192,3 +192,45 @@ class TestOptimality:
             assert metric_value(specialised.partition, "disjointness") == metric_value(
                 generic.partition, "disjointness"
             )
+
+
+class TestBoundQueryTemplate:
+    @pytest.mark.parametrize("target", ["disjointness", "balancedness", "combined"])
+    @pytest.mark.parametrize("num_inputs", [2, 3, 5])
+    def test_template_equals_a_fresh_encoding(self, target, num_inputs):
+        from repro.core.qbf_models import (
+            ControlVariables,
+            add_nontrivial_constraint,
+            add_target_constraint,
+            maximum_bound,
+        )
+        from repro.sat.cnf import CNF
+
+        names = [f"in{i}" for i in range(num_inputs)]
+        for bound in range(maximum_bound(target, num_inputs) + 1):
+            cnf = CNF()
+            controls = ControlVariables.allocate(cnf, names)
+            add_nontrivial_constraint(cnf, controls)
+            add_target_constraint(cnf, controls, target, bound)
+            template = qbf_bidec.bound_query_template(num_inputs, target, bound)
+            assert template.num_vars == cnf.num_vars
+            assert list(template.clauses) == cnf.clauses
+            assert qbf_bidec.bound_query_template(num_inputs, target, bound) is template
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(qbf_bidec, "TEMPLATE_CACHE_SIZE", 3)
+        monkeypatch.setattr(qbf_bidec, "_templates", type(qbf_bidec._templates)())
+        first = qbf_bidec.bound_query_template(4, "disjointness", 0)
+        for bound in (1, 2):
+            qbf_bidec.bound_query_template(4, "disjointness", bound)
+        assert qbf_bidec.bound_query_template(4, "disjointness", 0) is first
+        qbf_bidec.bound_query_template(4, "balancedness", 0)
+        assert len(qbf_bidec._templates) == 3
+        # The least recently used entry (bound 1) was evicted, not bound 0.
+        assert (4, "disjointness", 1) not in qbf_bidec._templates
+        assert qbf_bidec.bound_query_template(4, "disjointness", 0) is first
+
+    def test_bad_bounds_are_not_cached(self):
+        with pytest.raises(DecompositionError):
+            qbf_bidec.bound_query_template(4, "disjointness", -1)
+        assert (4, "disjointness", -1) not in qbf_bidec._templates
